@@ -8,6 +8,7 @@
 #include "src/puddles/format.h"
 #include "src/tx/log_format.h"
 #include "src/tx/log_space.h"
+#include "src/tx/replay.h"
 
 namespace crashsim {
 namespace {
@@ -152,6 +153,9 @@ bool StateClassifier::ModelReplay() {
     if (!view.ok()) {
       return false;
     }
+    // Mirror recovery's two passes: gate retired chains while walking, then
+    // model the live ones in the daemon's ReplayRank order.
+    std::vector<std::vector<puddles::LogRegion>> live;
     for (uint32_t entry = 0; entry < view->num_entries(); ++entry) {
       const puddles::Uuid head = view->entry(entry);
       if (head.is_nil()) {
@@ -203,6 +207,16 @@ bool StateClassifier::ModelReplay() {
       if (tag != 0 && tag <= view->retired_epoch()) {
         continue;
       }
+      live.push_back(std::move(chain));
+    }
+    std::stable_sort(live.begin(), live.end(),
+                     [](const std::vector<puddles::LogRegion>& a,
+                        const std::vector<puddles::LogRegion>& b) {
+                       return puddles::ReplayRank(a.front().epoch_tag()) >
+                              puddles::ReplayRank(b.front().epoch_tag());
+                     });
+
+    for (const std::vector<puddles::LogRegion>& chain : live) {
       ++stats_.chains_modeled;
 
       // Mirror ReplayLogChain: the head's sequence range governs the chain;
@@ -270,9 +284,10 @@ bool StateClassifier::ModelReplay() {
         }
       }
 
-      // Replay order *across* chains is the daemon's registry order, which
-      // the model does not reproduce — overlapping targets from different
-      // chains are therefore order-dependent and fall back.
+      // Chains are modeled in the daemon's replay order, but two chains of
+      // one rank replay in registry order, which the model does not
+      // reproduce — overlapping targets from different chains therefore
+      // stay order-dependent and fall back.
       for (const Target& t : chain_targets) {
         for (const Target& p : prior_targets) {
           if (t.region == p.region && t.offset < p.offset + p.size &&

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -657,6 +658,13 @@ puddles::Result<RecoveryReport> Daemon::RunRecoveryLocked() {
 
     Credentials owner{space_record.owner_uid, space_record.owner_gid};
 
+    // Pass 1: map every chain and reset the retired ones; pass 2 replays
+    // the rest in ReplayRank order (newest writer first, src/tx/replay.h).
+    struct LiveChain {
+      std::vector<pmem::PmemFile> files;  // Keep the log puddles mapped.
+      std::vector<puddles::LogRegion> regions;
+    };
+    std::vector<LiveChain> live;
     for (uint32_t i = 0; i < ls_view->num_entries(); ++i) {
       ++report.logs_scanned;
       // Follow the chain of log puddles (Fig. 5).
@@ -710,7 +718,15 @@ puddles::Result<RecoveryReport> Daemon::RunRecoveryLocked() {
         chain.front().Reset(0, 2);
         continue;
       }
+      live.push_back({std::move(chain_files), std::move(chain)});
+    }
+    std::stable_sort(live.begin(), live.end(), [](const LiveChain& a, const LiveChain& b) {
+      return puddles::ReplayRank(a.regions.front().epoch_tag()) >
+             puddles::ReplayRank(b.regions.front().epoch_tag());
+    });
 
+    for (LiveChain& live_chain : live) {
+      std::vector<puddles::LogRegion>& chain = live_chain.regions;
       RecoveryResolver resolver(
           &addr_alloc_, &by_base_,
           [this](const Uuid& uuid) { return LookupPuddleUnlocked(uuid); },

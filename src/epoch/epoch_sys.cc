@@ -1,15 +1,51 @@
 #include "src/epoch/epoch_sys.h"
 
+#include <sched.h>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <utility>
 
 #include "src/stats/stats.h"
 
 namespace puddles {
+namespace {
+
+// Counts the calling thread as a participant of the polling rule while in
+// scope. Taken before mu_: a thread queued on the lock needs a CPU too.
+class ParticipantScope {
+ public:
+  explicit ParticipantScope(std::atomic<uint32_t>& participants)
+      : participants_(participants) {
+    participants_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~ParticipantScope() { participants_.fetch_sub(1, std::memory_order_relaxed); }
+  ParticipantScope(const ParticipantScope&) = delete;
+  ParticipantScope& operator=(const ParticipantScope&) = delete;
+
+ private:
+  std::atomic<uint32_t>& participants_;
+};
+
+// CPUs this process may run on; 1 (never poll) if the set is unreadable.
+uint32_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return 1;
+  }
+  return static_cast<uint32_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-thread port. All methods run on the owning thread; shared state is
-// touched under sys_->mu_ only. pending_epoch_/tail_ are owner-thread-only.
+// touched under sys_->mu_ only, except the atomic participants_ count.
+// pending_epoch_/tail_ are owner-thread-only.
 // ---------------------------------------------------------------------------
 class EpochSys::Port : public EpochPort {
  public:
@@ -17,6 +53,8 @@ class EpochSys::Port : public EpochPort {
       : sys_(sys), release_grown_(std::move(release_grown)) {}
 
   puddles::Status JoinTx(LogRegion* head, std::vector<LogRegion*>* chain) override {
+    // Counted from before the lock (as in ParticipantScope) until LeaveTx.
+    sys_->participants_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lock(sys_->mu_);
     if (pending_epoch_ != 0 && pending_epoch_ != sys_->current_) {
       // The log still holds entries of a closed (or closing) epoch. Entries
@@ -26,7 +64,7 @@ class EpochSys::Port : public EpochPort {
       // continuation regions with a persistent reset (they have no gate of
       // their own — a stale region re-linked by a later epoch would replay
       // retired undo entries).
-      RETURN_IF_ERROR(sys_->WaitRetiredLocked(lock, pending_epoch_));
+      sys_->WaitRetiredLocked(lock, pending_epoch_);
       head->RearmVolatile();
       for (LogRegion* region : tail_) {
         if (release_grown_) {
@@ -37,6 +75,7 @@ class EpochSys::Port : public EpochPort {
       pending_epoch_ = 0;
     }
     if (sys_->stop_) {
+      sys_->participants_.fetch_sub(1, std::memory_order_relaxed);
       return FailedPreconditionError("epoch system stopped");
     }
     if (pending_epoch_ == 0) {
@@ -47,7 +86,7 @@ class EpochSys::Port : public EpochPort {
     ++sys_->open_txs_;
     sys_->MarkOpenDirtyLocked();
     if (sys_->open_txs_ >= sys_->options_.max_epoch_txs) {
-      sys_->advancer_cv_.notify_all();
+      sys_->KickAdvancerLocked();
     }
     PUDDLES_COUNT(kEpochTxs);
     // Re-adopt continuation regions grown by this epoch's earlier
@@ -74,16 +113,17 @@ class EpochSys::Port : public EpochPort {
     sys_->deferred_open_.Splice(batch);
     sys_->MarkOpenDirtyLocked();
     if (sys_->deferred_open_.staged_bytes() >= sys_->options_.max_staged_bytes) {
-      sys_->advancer_cv_.notify_all();
+      sys_->KickAdvancerLocked();
     }
   }
 
   void LeaveTx(const std::vector<LogRegion*>& chain) override {
     std::lock_guard<std::mutex> lock(sys_->mu_);
     tail_.assign(chain.begin() + 1, chain.end());
+    sys_->participants_.fetch_sub(1, std::memory_order_relaxed);
     if (sys_->closing_ != 0 && pending_epoch_ == sys_->closing_) {
       if (--sys_->active_closing_ == 0) {
-        sys_->advancer_cv_.notify_all();  // Unblock the drain wait.
+        sys_->KickAdvancerLocked();  // Unblock the drain wait.
       }
     } else {
       --sys_->active_open_;
@@ -94,8 +134,9 @@ class EpochSys::Port : public EpochPort {
     if (pending_epoch_ == 0) {
       return OkStatus();
     }
+    ParticipantScope participant(sys_->participants_);
     std::unique_lock<std::mutex> lock(sys_->mu_);
-    RETURN_IF_ERROR(sys_->WaitRetiredLocked(lock, pending_epoch_));
+    sys_->WaitRetiredLocked(lock, pending_epoch_);
     head->RearmVolatile();
     for (LogRegion* region : tail_) {
       if (release_grown_) {
@@ -121,7 +162,7 @@ class EpochSys::Port : public EpochPort {
 // ---------------------------------------------------------------------------
 
 EpochSys::EpochSys(const EpochOptions& options, RetireFn retire)
-    : options_(options), retire_(std::move(retire)) {}
+    : options_(options), retire_(std::move(retire)), cpus_(AffinityCpus()) {}
 
 EpochSys::~EpochSys() { Stop(); }
 
@@ -141,15 +182,17 @@ void EpochSys::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
-    advancer_cv_.notify_all();
+    KickAdvancerLocked();
   }
   if (advancer_.joinable()) {
     advancer_.join();
   }
-  client_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  NotifyClientsLocked();
 }
 
 void EpochSys::Sync() {
+  ParticipantScope participant(participants_);
   std::unique_lock<std::mutex> lock(mu_);
   uint64_t target = 0;
   if (open_dirty_) {
@@ -159,7 +202,7 @@ void EpochSys::Sync() {
   } else {
     return;  // current_ == retired_ + 1 and the open epoch is idle.
   }
-  (void)WaitRetiredLocked(lock, target);
+  WaitRetiredLocked(lock, target);
 }
 
 std::unique_ptr<EpochPort> EpochSys::CreatePort(ReleaseFn release_grown) {
@@ -167,8 +210,7 @@ std::unique_ptr<EpochPort> EpochSys::CreatePort(ReleaseFn release_grown) {
 }
 
 uint64_t EpochSys::retired_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retired_;
+  return retired_.load(std::memory_order_acquire);
 }
 
 uint64_t EpochSys::current_epoch() const {
@@ -181,7 +223,7 @@ void EpochSys::MarkOpenDirtyLocked() {
     open_dirty_ = true;
     open_deadline_ = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(options_.max_epoch_age_us);
-    advancer_cv_.notify_all();  // The advancer may be in an indefinite wait.
+    KickAdvancerLocked();  // The advancer may be in an indefinite wait.
   }
 }
 
@@ -195,21 +237,88 @@ bool EpochSys::ShouldCloseLocked() const {
          open_txs_ >= options_.max_epoch_txs;
 }
 
-puddles::Status EpochSys::WaitRetiredLocked(std::unique_lock<std::mutex>& lock,
-                                            uint64_t epoch) {
-  if (retired_ >= epoch) {
-    return OkStatus();
+bool EpochSys::PollAllowed() const {
+  return participants_.load(std::memory_order_relaxed) + 1 <= cpus_;
+}
+
+EpochSys::Clock::duration EpochSys::PollBudget() const {
+  return std::chrono::microseconds(options_.max_epoch_age_us);
+}
+
+void EpochSys::KickAdvancerLocked() {
+  kicks_.store(kicks_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  if (advancer_parked_ > 0) {
+    advancer_cv_.notify_one();
+  }
+}
+
+void EpochSys::NotifyClientsLocked() {
+  if (clients_parked_ > 0) {
+    client_cv_.notify_all();
+  }
+}
+
+// The wait primitive (file header of epoch_sys.h). A parked waiter checks
+// done() under mu_ and every watermark/kick store is followed by a notify
+// under mu_ whenever *parked > 0, so no wakeup is lost between the poll
+// phase and the park.
+template <typename Done>
+void EpochSys::AwaitLocked(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+                           uint32_t* parked, Clock::duration poll_for,
+                           Clock::time_point park_until, Done done) {
+  if (done()) {
+    return;
+  }
+  const bool may_poll = poll_for > Clock::duration::zero();
+  if (may_poll && PollAllowed()) {
+    const Clock::time_point poll_until = Clock::now() + poll_for;
+    lock.unlock();
+    for (uint32_t spins = 1; !done(); ++spins) {
+#if defined(__x86_64__)
+      _mm_pause();
+#endif
+      if (spins % 64 == 0 && (!PollAllowed() || Clock::now() >= poll_until)) {
+        break;
+      }
+    }
+    lock.lock();
+    if (done()) {
+      return;
+    }
+  }
+  if (may_poll) {
+    PUDDLES_COUNT(kEpochParkedWaits);
+  }
+  ++*parked;
+  if (park_until == Clock::time_point::max()) {
+    cv.wait(lock, done);
+  } else {
+    cv.wait_until(lock, park_until, done);
+  }
+  --*parked;
+}
+
+void EpochSys::AwaitKickLocked(std::unique_lock<std::mutex>& lock, Clock::duration poll_for,
+                               Clock::time_point park_until) {
+  const uint64_t seen = kicks_.load(std::memory_order_relaxed);
+  AwaitLocked(lock, advancer_cv_, &advancer_parked_, poll_for, park_until,
+              [&] { return kicks_.load(std::memory_order_acquire) != seen; });
+}
+
+void EpochSys::WaitRetiredLocked(std::unique_lock<std::mutex>& lock, uint64_t epoch) {
+  if (retired_.load(std::memory_order_relaxed) >= epoch) {
+    return;
   }
   if (epoch == current_) {
     // The target epoch is still open; ask the advancer to close it now
     // rather than waiting out the age bound.
     close_requested_ = true;
-    advancer_cv_.notify_all();
+    KickAdvancerLocked();
   }
   PUDDLES_COUNT(kEpochSyncWaits);
   PUDDLES_SCOPED_TIMER(kEpochSyncWaitTicks);
-  client_cv_.wait(lock, [&] { return retired_ >= epoch; });
-  return OkStatus();
+  AwaitLocked(lock, client_cv_, &clients_parked_, PollBudget(), Clock::time_point::max(),
+              [&] { return retired_.load(std::memory_order_acquire) >= epoch; });
 }
 
 void EpochSys::DelegatePublish(pmem::FlushBatch* batch) {
@@ -217,9 +326,12 @@ void EpochSys::DelegatePublish(pmem::FlushBatch* batch) {
   publish_pending_.Splice(batch);
   const uint64_t ticket = ++publish_seq_;
   PUDDLES_COUNT(kEpochPublishWaits);
-  advancer_cv_.notify_all();
-  PUDDLES_SCOPED_TIMER(kEpochSyncWaitTicks);
-  client_cv_.wait(lock, [&] { return publish_done_ >= ticket; });
+  KickAdvancerLocked();
+  PUDDLES_SCOPED_TIMER(kEpochPublishWaitTicks);
+  // The acquire load orders the caller's in-place stores after the fence
+  // that made its undo entries durable.
+  AwaitLocked(lock, client_cv_, &clients_parked_, PollBudget(), Clock::time_point::max(),
+              [&] { return publish_done_.load(std::memory_order_acquire) >= ticket; });
 }
 
 // One delegated-publication service cycle: flush everything spliced so far,
@@ -231,10 +343,12 @@ void EpochSys::ServicePublishLocked(std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   drain_batch_.FlushPending();
   pmem::Fence();
+  // Release pollers straight after the fence; parked waiters re-check under
+  // mu_, which the notify below takes after this store.
+  publish_done_.store(upto, std::memory_order_release);
   lock.lock();
-  publish_done_ = std::max(publish_done_, upto);
   PUDDLES_COUNT(kEpochPublishCycles);
-  client_cv_.notify_all();
+  NotifyClientsLocked();
 }
 
 // Closes the open epoch: advance the clock, drain, fence once, retire.
@@ -256,7 +370,7 @@ void EpochSys::CloseEpochLocked(std::unique_lock<std::mutex>& lock) {
       ServicePublishLocked(lock);
       continue;
     }
-    advancer_cv_.wait(lock);
+    AwaitKickLocked(lock, PollBudget(), Clock::time_point::max());
   }
 
   // Drain: the epoch's deferred lines, plus any publication spliced since
@@ -270,13 +384,13 @@ void EpochSys::CloseEpochLocked(std::unique_lock<std::mutex>& lock) {
   drain_batch_.FlushPending();
   pmem::Fence();      // THE epoch fence: every line of the epoch is durable.
   retire_(closing);   // Retirement record: the epoch's single commit point.
+  publish_done_.store(upto, std::memory_order_release);
+  retired_.store(closing, std::memory_order_release);
   lock.lock();
-  publish_done_ = std::max(publish_done_, upto);
-  retired_ = closing;
   closing_ = 0;
   PUDDLES_COUNT(kEpochAdvanced);
   PUDDLES_COUNT_N(kEpochStagedBytes, drained_bytes);
-  client_cv_.notify_all();
+  NotifyClientsLocked();
 }
 
 void EpochSys::AdvancerMain() {
@@ -289,21 +403,20 @@ void EpochSys::AdvancerMain() {
     if (ShouldCloseLocked()) {
       CloseEpochLocked(lock);
       close_requested_ = false;
-      client_cv_.notify_all();
       continue;
     }
-    if (close_requested_ && !open_dirty_) {
-      // Sync() raced an already-idle epoch; nothing to close.
-      close_requested_ = false;
-      client_cv_.notify_all();
+    if (!open_dirty_) {
+      close_requested_ = false;  // Sync() raced an already-idle epoch.
     }
     if (stop_) {
       return;
     }
+    // A dirty epoch bounds the poll and the park by its close deadline; an
+    // idle one parks until the next kick without polling.
     if (open_dirty_) {
-      advancer_cv_.wait_until(lock, open_deadline_);
+      AwaitKickLocked(lock, open_deadline_ - Clock::now(), open_deadline_);
     } else {
-      advancer_cv_.wait(lock);
+      AwaitKickLocked(lock, Clock::duration::zero(), Clock::time_point::max());
     }
   }
 }

@@ -30,9 +30,33 @@
 // advancer's flush writes back the latest value regardless of which core
 // stored it — and keeping flush+fence on one thread also matches the
 // fence-retires-own-flushes model crashsim verifies against.
+//
+// The handoff waits (publication tickets, retirement waits, and the
+// advancer's own wait for work) all go through one primitive, AwaitLocked.
+// A waiter first *polls* an atomic watermark — publish_done_ or retired_ for
+// clients, the kick counter kicks_ for the advancer — and only then parks on
+// a condition variable. Polling is allowed only while every participant has
+// a CPU of its own: participants are the threads inside epoch transactions
+// or Sync/Quiesce calls (counted from before they take mu_, since a thread
+// queued on the lock needs a CPU too) plus the advancer, counted against
+// the process's sched_getaffinity CPU set. A spinning waiter on an oversubscribed machine
+// would steal the very CPU its wakeup needs, so past that point every wait
+// parks, exactly like a plain condvar handoff. A poll is also bounded by the
+// epoch deadline (max_epoch_age_us; for the advancer's idle wait, the open
+// epoch's close deadline). A notifier signals a condvar only when a waiter is actually
+// parked on it, so the polled path costs no futex traffic in either
+// direction.
+//
+// Memory ordering: the advancer release-stores publish_done_ (and retired_)
+// only after the fence of the flush cycle that covered the ticket (the
+// retirement record's persist). A publisher acquire-loads the watermark
+// before returning from Publish, so its first in-place store is ordered
+// after that fence: the undo-before-mutate invariant holds without the
+// mutex on the wakeup path.
 #ifndef SRC_EPOCH_EPOCH_SYS_H_
 #define SRC_EPOCH_EPOCH_SYS_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -96,12 +120,13 @@ class EpochSys {
   // owning thread.
   std::unique_ptr<EpochPort> CreatePort(ReleaseFn release_grown);
 
-  // Monitoring/tests (take the lock; not for hot paths).
+  // Monitoring/tests. current_epoch() takes the lock; not for hot paths.
   uint64_t retired_epoch() const;
   uint64_t current_epoch() const;
 
  private:
   class Port;
+  using Clock = std::chrono::steady_clock;
 
   // All *Locked methods require mu_; those taking the unique_lock may drop
   // and reacquire it around the flush work.
@@ -109,20 +134,44 @@ class EpochSys {
   void MarkOpenDirtyLocked();
   void ServicePublishLocked(std::unique_lock<std::mutex>& lock);
   void CloseEpochLocked(std::unique_lock<std::mutex>& lock);
-  puddles::Status WaitRetiredLocked(std::unique_lock<std::mutex>& lock, uint64_t epoch);
+  void WaitRetiredLocked(std::unique_lock<std::mutex>& lock, uint64_t epoch);
   void DelegatePublish(pmem::FlushBatch* batch);
   void AdvancerMain();
+
+  // The one wait of the epoch handoff (file header): returns once done()
+  // holds or park_until passes. Polls (mu_ dropped) for up to poll_for while
+  // PollAllowed(), then parks on `cv` counted in *parked. done() must read
+  // only atomics. Requires mu_.
+  template <typename Done>
+  void AwaitLocked(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+                   uint32_t* parked, Clock::duration poll_for, Clock::time_point park_until,
+                   Done done);
+  // Advancer: waits for the next kick (state change a notifier published
+  // under mu_).
+  void AwaitKickLocked(std::unique_lock<std::mutex>& lock, Clock::duration poll_for,
+                       Clock::time_point park_until);
+  bool PollAllowed() const;
+  Clock::duration PollBudget() const;  // The epoch deadline, max_epoch_age_us.
+  void KickAdvancerLocked();
+  void NotifyClientsLocked();
 
   const EpochOptions options_;
   const RetireFn retire_;
 
+  // CPUs in the process's affinity set (sched_getaffinity, read at
+  // construction): the budget of the polling rule.
+  const uint32_t cpus_;
+
   mutable std::mutex mu_;
-  std::condition_variable advancer_cv_;  // Advancer waits for work/timer.
-  std::condition_variable client_cv_;    // Publishers and retirement waiters.
-  std::thread advancer_;
+  // Bumped under mu_ by every state change the advancer may be waiting on;
+  // beside mu_, so a notifier's bump touches a line it already holds.
+  std::atomic<uint64_t> kicks_{0};
+  std::condition_variable advancer_cv_;  // Advancer parks for work/timer.
+  std::condition_variable client_cv_;    // Parked publishers and retirement waiters.
+  uint32_t advancer_parked_ = 0;         // Parked-waiter counts: notify only if > 0.
+  uint32_t clients_parked_ = 0;
 
   uint64_t current_ = 1;   // Open epoch; 0 is reserved for immediate mode.
-  uint64_t retired_ = 0;   // Highest persistently retired epoch (mirror).
   uint64_t closing_ = 0;   // Epoch mid-close (drain in progress); 0 = none.
   bool stop_ = false;
   bool close_requested_ = false;  // Sync()/retirement waiters force a close.
@@ -134,6 +183,9 @@ class EpochSys {
   uint64_t open_txs_ = 0;       // Joined (lifetime) — close threshold.
   uint64_t active_open_ = 0;    // Still inside Begin..Commit/Abort.
   uint64_t active_closing_ = 0; // Same, for the closing epoch's drain wait.
+  // Threads inside epoch transactions or Sync/Quiesce, counted from before
+  // they take mu_ (the advancer is the +1 of the polling rule).
+  std::atomic<uint32_t> participants_{0};
   pmem::FlushBatch deferred_open_;     // Close-time write-back set.
   pmem::FlushBatch deferred_closing_;
 
@@ -142,10 +194,18 @@ class EpochSys {
   // advancer flush+fence cycle retires every ticket spliced before it.
   pmem::FlushBatch publish_pending_;
   uint64_t publish_seq_ = 0;
-  uint64_t publish_done_ = 0;
 
   // Advancer-only scratch batch (reused to avoid per-cycle allocation).
   pmem::FlushBatch drain_batch_;
+
+  // The watermarks waiting clients poll, on a line of their own. Written
+  // by the advancer only, each release-stored after the fence (retired_:
+  // the retirement record's persist) that it publishes.
+  alignas(64) std::atomic<uint64_t> publish_done_{0};
+  std::atomic<uint64_t> retired_{0};  // Highest persistently retired epoch.
+
+  // Declared last: the advancer uses every member above.
+  std::thread advancer_;
 };
 
 }  // namespace puddles

@@ -39,6 +39,7 @@ constexpr const char* kCounterNames[] = {
     "epoch_publish_cycles",
     "epoch_publish_waits",
     "epoch_sync_waits",
+    "epoch_parked_waits",
     "daemon_request",
     "daemon_conn_accepted",
     "daemon_conn_closed",
@@ -60,6 +61,7 @@ constexpr const char* kHistNames[] = {
     "flush_publish_ns",
     "daemon_service_ns",
     "epoch_sync_wait_ns",
+    "epoch_publish_wait_ns",
 };
 static_assert(sizeof(kHistNames) / sizeof(kHistNames[0]) == kNumHists,
               "histogram name table out of sync with the Hist enum");

@@ -70,6 +70,7 @@ enum class Counter : uint32_t {
   kEpochPublishCycles,   // Advancer flush+fence cycles serving delegated publications.
   kEpochPublishWaits,    // Blocking delegated publications (threads that waited).
   kEpochSyncWaits,       // Explicit Sync()/retirement waits (incl. JoinTx rearm waits).
+  kEpochParkedWaits,     // Epoch handoff waits that parked on a condvar instead of polling.
   // Daemon (src/daemon) — totals; the per-opcode breakdown is separate.
   kDaemonRequest,     // Requests dispatched (socket protocol path).
   kDaemonConnAccepted,  // Client connections admitted by the socket server.
@@ -97,7 +98,8 @@ enum class Hist : uint32_t {
   kTxCommitTicks = 0,   // Pool::Run / Transaction commit latency.
   kFlushPublishTicks,   // FlushBatch publication (flush pass + fence).
   kDaemonServiceTicks,  // Daemon request service time (DispatchRequest).
-  kEpochSyncWaitTicks,  // Time blocked waiting on the epoch advancer.
+  kEpochSyncWaitTicks,  // Time blocked in Sync()/retirement waits on the epoch advancer.
+  kEpochPublishWaitTicks,  // Time blocked on a delegated-publication ticket.
   kNumHists,            // Sentinel; keep last.
 };
 

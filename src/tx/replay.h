@@ -70,6 +70,20 @@ puddles::Result<ReplayStats> ReplayLogChain(const std::vector<LogRegion>& chain,
                                             AddressResolver& resolver,
                                             const ReplayOptions& options = {});
 
+// Cross-chain replay order within one log space, shared by the daemon and
+// the crashsim pruner's replay model: chains replay by descending rank, ties
+// in log-space order (a stable sort). Replay must run newest writer first,
+// because two unretired chains can both hold undo entries for one word:
+// epoch e+1 opens (and its publications are serviced) while e's close still
+// waits on a straggler, so e+1's pre-image is e's uncommitted value and only
+// e's own undo restores the value from before e. Hence a higher epoch tag
+// replays earlier. A tag-0 (immediate-mode) chain with live entries is an
+// uncommitted transaction, the newest writer of every word it logged, so
+// tag-0 chains come first of all.
+inline uint64_t ReplayRank(uint64_t epoch_tag) {
+  return epoch_tag == 0 ? ~uint64_t{0} : epoch_tag;
+}
+
 }  // namespace puddles
 
 #endif  // SRC_TX_REPLAY_H_

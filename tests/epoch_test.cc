@@ -1,21 +1,30 @@
 // Epoch-based group commit (src/epoch; docs/epoch.md) on the full stack:
 // durability modes, sync-before-ack, the bounded buffered window, shutdown
-// drain, mode switching, and an 8-thread cross-epoch commit storm. The
+// drain, mode switching, an 8-thread cross-epoch commit storm, cross-epoch
+// replay order, and the handoff wait primitive (parking under a one-CPU
+// affinity set; publication durable before the ticket returns). The
 // threaded tests run under the CI ThreadSanitizer job (`ctest -L
 // concurrency`); the crash-atomicity half of the contract — an epoch torn by
 // power failure rolls back whole, never a prefix — is crashsim's job
 // (tests/crashsim_test.cc, `epoch` workload).
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "src/common/align.h"
 #include "src/daemon/client.h"
 #include "src/daemon/daemon.h"
 #include "src/libpuddles/libpuddles.h"
+#include "src/pmem/flush.h"
 #include "src/stats/stats.h"
 #include "src/tx/tx.h"
 
@@ -51,8 +60,8 @@ class EpochTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  void Start(bool create) {
-    auto started = puddled::Daemon::Start({.root_dir = (dir_ / "root").string()});
+  void Start(bool create, const std::string& root = "root") {
+    auto started = puddled::Daemon::Start({.root_dir = (dir_ / root).string()});
     ASSERT_TRUE(started.ok()) << started.status().ToString();
     daemon_ = std::move(*started);
     auto rt = Runtime::Create(
@@ -66,10 +75,10 @@ class EpochTest : public ::testing::Test {
 
   // Daemon restart: recovery runs before any remap. The previous runtime's
   // destructor stops the epoch advancer (draining any open epoch) first.
-  void Reopen() {
+  void Reopen(const std::string& root = "root") {
     runtime_.reset();
     daemon_.reset();
-    Start(/*create=*/false);
+    Start(/*create=*/false, root);
   }
 
   Shard* InitShard() {
@@ -130,8 +139,8 @@ void ExpectRound(Shard* shard, int t, uint64_t rounds) {
 }
 
 // Sync() must not return before the open epoch is closed and persistently
-// retired: afterwards kEpochAdvanced has moved and a daemon restart recovers
-// every synced transaction.
+// retired: afterwards the retirement mirror (and kEpochAdvanced, in telemetry
+// builds) has moved and a daemon restart recovers every synced transaction.
 TEST_F(EpochTest, SyncRetiresBeforeReturning) {
   Shard* shard = InitShard();
   // A huge window: nothing closes the epoch except the Sync under test.
@@ -141,14 +150,21 @@ TEST_F(EpochTest, SyncRetiresBeforeReturning) {
   options.max_epoch_txs = 1ULL << 40;
   ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch, options).ok());
 
+  const uint64_t retired = runtime_->epoch_sys()->retired_epoch();
   const stats::Snapshot before = stats::Aggregate();
   RunRound(*pool_, shard, 0);
   pool_->Sync();
   const stats::Snapshot after = stats::Aggregate();
+  EXPECT_GE(runtime_->epoch_sys()->retired_epoch(), retired + 1);
+#if PUDDLES_STATS
   EXPECT_GE(after.counter(stats::Counter::kEpochAdvanced),
             before.counter(stats::Counter::kEpochAdvanced) + 1);
   EXPECT_GT(after.counter(stats::Counter::kEpochTxs),
             before.counter(stats::Counter::kEpochTxs));
+#else
+  (void)before;
+  (void)after;
+#endif
 
   Reopen();
   ExpectRound(Root(), 0, 1);
@@ -182,13 +198,11 @@ TEST_F(EpochTest, TimerClosesEpochWithoutSync) {
   options.max_epoch_age_us = 2000;  // 2 ms window.
   ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch, options).ok());
 
-  const stats::Snapshot before = stats::Aggregate();
+  const uint64_t retired = runtime_->epoch_sys()->retired_epoch();
   RunRound(*pool_, shard, 2);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
-    const stats::Snapshot now = stats::Aggregate();
-    if (now.counter(stats::Counter::kEpochAdvanced) >
-        before.counter(stats::Counter::kEpochAdvanced)) {
+    if (runtime_->epoch_sys()->retired_epoch() > retired) {
       return;  // Advancer closed the dirty epoch on the age threshold.
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -274,16 +288,289 @@ TEST_F(EpochTest, EightThreadsAcrossEpochs) {
   for (int t = 0; t < kThreads; ++t) {
     ExpectRound(shard, t, kRounds);
   }
+  EXPECT_GT(runtime_->epoch_sys()->retired_epoch(), 0u);
+#if PUDDLES_STATS
   const stats::Snapshot snap = stats::Aggregate();
   EXPECT_GT(snap.counter(stats::Counter::kEpochAdvanced), 0u);
   EXPECT_GT(snap.counter(stats::Counter::kEpochTxs),
             snap.counter(stats::Counter::kEpochAdvanced))
       << "group commit amortized nothing: fewer txs than epochs";
+#endif
 
   Reopen();
   for (int t = 0; t < kThreads; ++t) {
     ExpectRound(Root(), t, kRounds);
   }
+}
+
+// Replay order across epochs. X (this thread, the lowest log index)
+// commits in epoch e; a straggler holds e's close open; Y joins e+1 and
+// overwrites the same word, so Y's undo pre-image is X's unretired value. A
+// crash image taken now must recover the value from before e, which needs
+// Y's chain replayed before X's — newest epoch first.
+TEST_F(EpochTest, RecoveryReplaysNewerEpochFirst) {
+  Shard* shard = InitShard();
+  uint64_t* word = &shard->committed_rounds[6];
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    RETURN_IF_ERROR(tx.LogRange(word, sizeof(uint64_t)));
+    *word = 11;  // Durable (immediate mode): the value from before e.
+    return OkStatus();
+  }).ok());
+
+  EpochOptions options;
+  options.max_epoch_age_us = 60 * 1000 * 1000;
+  options.max_staged_bytes = 1ULL << 40;
+  options.max_epoch_txs = 2;  // X plus the straggler's join closes e.
+  ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch, options).ok());
+  EpochSys* epochs = runtime_->epoch_sys();
+  ASSERT_NE(epochs, nullptr);
+  const uint64_t e = epochs->current_epoch();
+
+  auto set_word = [&](uint64_t value) {
+    return pool_->Run([&](Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogRange(word, sizeof(uint64_t)));
+      *word = value;
+      return OkStatus();
+    });
+  };
+  ASSERT_TRUE(set_word(22).ok());  // X, epoch e.
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::thread straggler([&] {
+    EXPECT_TRUE(pool_->Run([&](Tx&) -> puddles::Status {
+      entered.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return OkStatus();
+    }).ok());
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((!entered.load() || epochs->current_epoch() != e + 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(epochs->current_epoch(), e + 1) << "epoch e never started closing";
+
+  std::thread y([&] { EXPECT_TRUE(set_word(33).ok()); });  // Y, epoch e+1.
+  y.join();
+  EXPECT_LT(epochs->retired_epoch(), e) << "e retired under a straggler";
+  // The crash image: every store so far, neither epoch retired.
+  fs::copy(dir_ / "root", dir_ / "crash", fs::copy_options::recursive);
+  release.store(true);
+  straggler.join();
+
+  Reopen("crash");
+  Shard* recovered = Root();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->committed_rounds[6], 11u);
+}
+
+// Applies `mask` to every thread of the process (threads created later
+// inherit it from their creator).
+void SetProcessAffinity(const cpu_set_t& mask) {
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    const pid_t tid = static_cast<pid_t>(std::stol(task.path().filename().string()));
+    (void)sched_setaffinity(tid, sizeof(mask), &mask);
+  }
+}
+
+// The CPU rule of the wait primitive: pinned to one CPU, four committing
+// threads plus the advancer cannot each own a CPU, so every handoff wait
+// must park instead of spinning against the thread it waits for — and the
+// run must still finish, with every round recovered.
+TEST_F(EpochTest, OneCpuWaitsParkAndFinish) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  SetProcessAffinity(one);
+
+  Shard* shard = InitShard();
+  const stats::Snapshot before = stats::Aggregate();
+  // A long epoch deadline is a long poll bound: without the CPU rule the
+  // waits would spin out their time slices and finish polled, not parked.
+  EpochOptions options;
+  options.max_epoch_age_us = 60 * 1000 * 1000;
+  // The epoch system reads the affinity set when it starts, here.
+  ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch, options).ok());
+  constexpr int kWorkers = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([this, shard, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        RunRound(*pool_, shard, t);
+        pool_->Sync();
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  const stats::Snapshot after = stats::Aggregate();
+  SetProcessAffinity(saved);
+
+#if PUDDLES_STATS
+  EXPECT_GT(after.counter(stats::Counter::kEpochParkedWaits),
+            before.counter(stats::Counter::kEpochParkedWaits))
+      << "one CPU for five participants, yet no wait parked";
+#else
+  (void)before;
+  (void)after;
+#endif
+  Reopen();
+  for (int t = 0; t < kWorkers; ++t) {
+    ExpectRound(Root(), t, kRounds);
+  }
+}
+
+// Records, per cache line, the latest flush that a fence on the flushing
+// thread has since retired — the fence-retires-own-flushes model. Events
+// (flushes and fences) share one sequence, so "flushed after t and fenced"
+// is durable_[line] > t.
+class PublicationObserver : public pmem::PersistObserver {
+ public:
+  void OnFlushRange(const void* addr, size_t size) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t at = ++events_;
+    auto& pending = pending_[std::this_thread::get_id()];
+    const uintptr_t start = AlignDown(reinterpret_cast<uintptr_t>(addr), kCacheLineSize);
+    for (uintptr_t line = start; line < reinterpret_cast<uintptr_t>(addr) + size;
+         line += kCacheLineSize) {
+      pending.emplace_back(line, at);
+    }
+  }
+
+  void OnFence() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++events_;
+    auto& pending = pending_[std::this_thread::get_id()];
+    for (const auto& [line, at] : pending) {
+      durable_[line] = std::max(durable_[line], at);
+    }
+    pending.clear();
+  }
+
+  uint64_t Now() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_;
+  }
+
+  // Every line of [start, end) flushed after event `since`, then fenced.
+  bool DurableSince(uintptr_t start, uintptr_t end, uint64_t since) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uintptr_t line = AlignDown(start, kCacheLineSize); line < end;
+         line += kCacheLineSize) {
+      auto it = durable_.find(line);
+      if (it == durable_.end() || it->second <= since) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::mutex mu_;
+  uint64_t events_ = 0;
+  std::map<std::thread::id, std::vector<std::pair<uintptr_t, uint64_t>>> pending_;
+  std::map<uintptr_t, uint64_t> durable_;
+};
+
+// Forwards to the real port and checks, when each Publish returns, that the
+// lines it published — the log header and every entry byte appended since
+// the previous publication — were flushed after the call and fenced.
+class CheckedPort : public EpochPort {
+ public:
+  CheckedPort(std::unique_ptr<EpochPort> inner, LogRegion* log, PublicationObserver* observer,
+              std::atomic<int>* violations)
+      : inner_(std::move(inner)), log_(log), observer_(observer), violations_(violations) {}
+
+  puddles::Status JoinTx(LogRegion* head, std::vector<LogRegion*>* chain) override {
+    puddles::Status joined = inner_->JoinTx(head, chain);
+    if (log_->empty()) {
+      published_to_ = sizeof(LogHeader);  // Rearmed: entries restart at the header.
+    }
+    return joined;
+  }
+
+  void Publish(pmem::FlushBatch* batch) override {
+    const uint64_t since = observer_->Now();
+    inner_->Publish(batch);
+    const auto base = reinterpret_cast<uintptr_t>(log_->base());
+    const uint64_t next_free = log_->capacity() - log_->free_bytes();
+    if (!observer_->DurableSince(base, base + sizeof(LogHeader), since) ||
+        !observer_->DurableSince(base + published_to_, base + next_free, since)) {
+      violations_->fetch_add(1);
+    }
+    published_to_ = next_free;
+  }
+
+  void StageDeferred(pmem::FlushBatch* batch) override { inner_->StageDeferred(batch); }
+  void LeaveTx(const std::vector<LogRegion*>& chain) override { inner_->LeaveTx(chain); }
+  puddles::Status Quiesce(LogRegion* head) override { return inner_->Quiesce(head); }
+
+ private:
+  std::unique_ptr<EpochPort> inner_;
+  LogRegion* log_;
+  PublicationObserver* observer_;
+  std::atomic<int>* violations_;
+  uint64_t published_to_ = sizeof(LogHeader);
+};
+
+// Undo-before-mutate under the polled handoff: three unpinned threads (each
+// with its own participant CPU on a >= 4-CPU host, so the poll path runs)
+// undo-log and then store, with Syncs in between; every publication must be
+// durable before its ticket returns, i.e. before the caller's store.
+TEST(EpochWaitTest, PublicationDurableBeforeTicketReturns) {
+  PublicationObserver observer;
+  pmem::SetPersistObserver(&observer);
+  std::atomic<int> violations{0};
+  {
+    EpochSys epochs(EpochOptions{}, [](uint64_t) {});
+    ASSERT_TRUE(epochs.Start().ok());
+    constexpr int kWorkers = 3;
+    constexpr int kTxs = 400;
+    constexpr size_t kCells = 64;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kWorkers; ++t) {
+      workers.emplace_back([&] {
+        std::vector<uint8_t> log_buffer(1 << 20);
+        ASSERT_TRUE(LogRegion::Format(log_buffer.data(), log_buffer.size()).ok());
+        auto log = LogRegion::Attach(log_buffer.data(), log_buffer.size());
+        ASSERT_TRUE(log.ok());
+        LogRegion head = *log;
+        CheckedPort port(epochs.CreatePort(nullptr), &head, &observer, &violations);
+        TxTarget target;
+        target.log = &head;
+        target.epoch = &port;
+        std::vector<uint64_t> cells(kCells, 0);
+        for (int i = 0; i < kTxs; ++i) {
+          auto tx = Transaction::Begin(target);
+          ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+          uint64_t* cell = &cells[static_cast<size_t>(i) % kCells];
+          ASSERT_TRUE((*tx)->AddUndo(cell, sizeof(uint64_t)).ok());
+          *cell += 1;
+          ASSERT_TRUE((*tx)->Commit().ok());
+          if (i % 16 == 15) {
+            epochs.Sync();
+          }
+        }
+        ASSERT_TRUE(port.Quiesce(&head).ok());
+      });
+    }
+    for (auto& worker : workers) {
+      worker.join();
+    }
+  }
+  pmem::SetPersistObserver(nullptr);
+  EXPECT_EQ(violations.load(), 0) << "a publication returned before its lines were durable";
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 # ONE fence across all threads' staged lines. A pmem::Flush/Fence sneaking
 # back onto the epoch commit path silently reverts group commit to
 # per-thread fencing — throughput degrades and the fences/op CI number
-# drifts, but no functional test fails. Three rules:
+# drifts, but no functional test fails. Four rules:
 #
 #   1. Transaction::CommitEpochMode / AbortEpochMode / PublishStagedEpoch
 #      (src/tx/transaction.cc) must be persist-call-free: they stage lines
@@ -15,6 +15,11 @@
 #   3. In src/epoch/epoch_sys.cc, persist calls may appear only inside
 #      ServicePublishLocked and CloseEpochLocked — the two advancer-side
 #      publication points that own the epoch's single fence.
+#   4. In src/epoch/epoch_sys.cc, condvar waits (.wait/.wait_until/
+#      .wait_for) and _mm_pause spins may appear only inside the wait
+#      primitive AwaitLocked and AdvancerMain. A direct park or spin
+#      elsewhere would bypass the primitive's CPU rule (poll only while every
+#      participant has its own CPU) and its notify-only-if-parked protocol.
 #
 # Comments are stripped before matching, same as check_persist_discipline.sh.
 set -euo pipefail
@@ -33,6 +38,20 @@ extract_fn() {
     in_fn { print }
     in_fn && /^}/ { exit }
   ' "$1"
+}
+
+# The complement: prints file $1, comments stripped, without the bodies of
+# the functions whose definition lines match $2...; a whole-file rule greps
+# what is left.
+outside_fns() {
+  local file="$1"
+  shift
+  strip_comments < "$file" | awk -v sigs="$(printf '%s\n' "$@")" '
+    BEGIN { n = split(sigs, sig, "\n") }
+    !in_fn { for (i = 1; i <= n; i++) if (sig[i] != "" && index($0, sig[i])) in_fn = 1 }
+    in_fn { if (/^}/) in_fn = 0; next }
+    { print }
+  '
 }
 
 persist_calls='pmem::(FlushFence|Flush|Fence|PersistStore64)\(|FlushPending\(\)'
@@ -60,25 +79,34 @@ check_fn_clean src/tx/transaction.cc 'Transaction::AbortEpochMode('
 check_fn_clean src/tx/transaction.cc 'Transaction::PublishStagedEpoch('
 check_fn_clean src/tx/log_format.cc 'LogRegion::RearmVolatile('
 
-# Rule 3: whole-file scan of epoch_sys.cc, excluding the two advancer
-# publication functions that legitimately flush and fence.
-allowed=$(extract_fn src/epoch/epoch_sys.cc 'EpochSys::ServicePublishLocked(')
-allowed+=$'\n'$(extract_fn src/epoch/epoch_sys.cc 'EpochSys::CloseEpochLocked(')
-if [ -z "$allowed" ]; then
-  echo "::error::src/epoch/epoch_sys.cc: advancer publication functions not found"
-  fail=1
-fi
-outside=$(strip_comments < src/epoch/epoch_sys.cc | grep -E "$persist_calls" || true)
-while IFS= read -r line; do
-  [ -z "$line" ] && continue
-  if ! printf '%s\n' "$allowed" | strip_comments | grep -qF "$line"; then
-    echo "src/epoch/epoch_sys.cc: $line"
-    echo "::error::src/epoch/epoch_sys.cc: persist call outside ServicePublishLocked/CloseEpochLocked"
+# Rules 3 and 4: whole-file scans of epoch_sys.cc outside the functions
+# each rule allows.
+check_file_confined() {
+  local file="$1" pattern="$2" what="$3"
+  shift 3
+  local sig
+  for sig in "$@"; do
+    if ! strip_comments < "$file" | grep -F "$sig" > /dev/null; then
+      echo "::error::$file: function '$sig' not found — update tools/check_epoch_discipline.sh"
+      fail=1
+      return
+    fi
+  done
+  if matches=$(outside_fns "$file" "$@" | grep -E "$pattern"); then
+    echo "$matches"
+    echo "::error::$file: $what"
     fail=1
   fi
-done <<< "$outside"
+}
+
+check_file_confined src/epoch/epoch_sys.cc "$persist_calls" \
+  'persist call outside ServicePublishLocked/CloseEpochLocked' \
+  'EpochSys::ServicePublishLocked(' 'EpochSys::CloseEpochLocked('
+check_file_confined src/epoch/epoch_sys.cc '\.wait(_until|_for)?\(|_mm_pause' \
+  'condvar wait or spin outside the wait primitive (AwaitLocked/AdvancerMain)' \
+  'EpochSys::AwaitLocked(' 'EpochSys::AdvancerMain('
 
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "epoch-discipline gate clean: epoch commit path persist-free, fences confined to the advancer"
+echo "epoch-discipline gate clean: epoch commit path persist-free, fences confined to the advancer, waits confined to the wait primitive"
