@@ -64,12 +64,6 @@ bool Pool::CoversPmRange(const void* addr, size_t size) const {
   return start >= base && size <= space && start - base <= space - size;
 }
 
-puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id) {
-  // Legacy implicit-context path: join the thread's open TX_BEGIN
-  // transaction, if any, through the src/tx bridge.
-  return MallocBytes(size, type_id, tx_internal::ImplicitTransaction());
-}
-
 puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction* tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
@@ -115,10 +109,6 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
                       // puddle in the pool with enough free space").
   }
   return OutOfMemoryError("pool exhausted");
-}
-
-puddles::Status Pool::Free(void* payload) {
-  return Free(payload, tx_internal::ImplicitTransaction());
 }
 
 puddles::Status Pool::Free(void* payload, Transaction* tx) {
@@ -256,24 +246,13 @@ puddles::Result<Transaction*> Pool::BeginTx() {
     return FailedPreconditionError("read-only pool cannot start transactions");
   }
   ASSIGN_OR_RETURN(TxTarget * target, runtime_->ThreadTxTarget());
-  // The durability mode is latched at the *outermost* begin; a flat-nested
-  // BeginTx must not disturb the target of the transaction already running
-  // (and must never quiesce a log its own open transaction occupies).
-  if (tx_internal::ImplicitTransaction() == nullptr) {
-    if (durability_ == Durability::kEpoch) {
-      ASSIGN_OR_RETURN(target->epoch, runtime_->EpochPortForThisThread());
-    } else if (target->epoch != nullptr) {
-      // Back to immediate mode on a thread that ran epoch transactions: the
-      // log may still hold un-retired epoch entries — wait them out and
-      // re-arm before an immediate transaction takes the log over.
-      EpochPort* port = runtime_->ExistingEpochPortForThisThread();
-      if (port != nullptr) {
-        RETURN_IF_ERROR(port->Quiesce(target->log));
-      }
-      target->epoch = nullptr;
-    }
+  EpochPort* epoch = nullptr;
+  if (durability_ == Durability::kEpoch) {
+    ASSIGN_OR_RETURN(epoch, runtime_->EpochPortForThisThread());
   }
-  return Transaction::BeginWith(target);
+  // BeginWith refuses a nested begin before it switches the shared target's
+  // mode, so an open transaction's target is never disturbed.
+  return Transaction::BeginWith(target, epoch);
 }
 
 // ---- Per-thread slab arenas (docs/alloc.md, DESIGN.md §14) ----

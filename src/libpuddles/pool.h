@@ -78,15 +78,17 @@ class Pool {
   // size. Allocations using this API can be serviced from any puddle in the
   // pool with enough free space."
   //
-  // The explicit-context form: `tx` is the transaction the allocation joins
-  // (allocator-metadata mutations become undo entries; fresh contents are
-  // flushed at commit stage 1), or nullptr for a non-transactional
-  // allocation (persisted immediately; not crash-atomic, as in PMDK).
+  // `tx` is the transaction the allocation joins (allocator-metadata
+  // mutations become undo entries; fresh contents are flushed at commit
+  // stage 1), or nullptr for a non-transactional allocation (persisted
+  // immediately; not crash-atomic, as in PMDK). Inside pool.Run, allocate
+  // through tx.Alloc<T>().
   puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction* tx);
 
-  // Legacy implicit-context form: joins the thread's open TX_BEGIN
-  // transaction if any (via the src/tx legacy bridge). Prefer tx.Alloc<T>().
-  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id);
+  // Non-transactional forms (tx = nullptr), for setup outside pool.Run.
+  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id) {
+    return MallocBytes(size, type_id, nullptr);
+  }
 
   template <typename T>
   puddles::Result<T*> Malloc(size_t count = 1) {
@@ -96,10 +98,9 @@ class Pool {
 
   // Frees an object allocated from this pool. Inside a transaction the free
   // is deferred to commit (no reuse within the transaction, so rollback can
-  // never resurrect recycled bytes). Explicit-context and legacy
-  // implicit-context forms, as with MallocBytes.
+  // never resurrect recycled bytes); nullptr frees immediately. Inside
+  // pool.Run, free through tx.Free(p).
   puddles::Status Free(void* payload, Transaction* tx);
-  puddles::Status Free(void* payload);
 
   // ---- Root object ----
   puddles::Result<void*> RootBytes();
@@ -128,9 +129,9 @@ class Pool {
   // Commit/abort is decided by the callback's return value: OK commits
   // (Fig. 7 hybrid stages), non-OK aborts via the undo log and that status is
   // returned. An exception escaping `fn` aborts and rethrows. Run does not
-  // nest — a Run (or open legacy transaction) already on this thread returns
-  // FailedPrecondition, keeping every ordering point visible at exactly one
-  // level (cf. MOD's explicit ordering points).
+  // nest — a Run already open on this thread returns FailedPrecondition,
+  // keeping every ordering point visible at exactly one level (cf. MOD's
+  // explicit ordering points).
   template <typename Fn>
   puddles::Status Run(Fn&& fn);
 
@@ -153,10 +154,6 @@ class Pool {
   // Blocks until every epoch-mode transaction committed before this call is
   // persistently durable. No-op in immediate mode.
   void Sync();
-
-  // Starts (or flat-nests into) the calling thread's transaction using its
-  // cached log puddle. The legacy TX_BEGIN entry point; Run builds on it.
-  puddles::Result<Transaction*> BeginTx();
 
   // ---- Per-thread slab arenas (docs/alloc.md, DESIGN.md §14) ----
 
@@ -213,6 +210,10 @@ class Pool {
 
   Pool(Runtime* runtime, puddled::PoolInfo info, bool writable)
       : runtime_(runtime), info_(info), name_(info.name), writable_(writable) {}
+
+  // Starts the calling thread's transaction on its cached log puddle, in
+  // this pool's durability mode. Run's entry point.
+  puddles::Result<Transaction*> BeginTx();
 
   // Grows the pool by one data puddle.
   puddles::Status AddDataPuddle();
@@ -304,7 +305,7 @@ class Tx {
   }
 
   // Undo-logs a single member — `tx.LogField(node, &Node::next)` — the
-  // typed, drift-proof replacement for TX_ADD_RANGE(&node->next, 8).
+  // typed, drift-proof form of tx.LogRange(&node->next, sizeof(node->next)).
   template <typename T, typename M>
   puddles::Status LogField(T* object, M T::*field) {
     return LogRange(&(object->*field), sizeof(M));
@@ -342,9 +343,9 @@ class Tx {
   }
 
   // Frees `payload` at commit (deferred; see Pool::Free). After Free, further
-  // Log/Set calls overlapping the object are rejected — the freed-object
-  // misuse the old macro API could not detect. The typed form knows the
-  // object's extent; FreeBytes tracks at least the first byte.
+  // Log/Set calls overlapping the object are rejected (use-after-free inside
+  // one transaction). The typed form knows the object's extent; FreeBytes
+  // tracks at least the first byte.
   template <typename T>
   puddles::Status Free(T* payload) {
     return FreeSized(payload, sizeof(T));
@@ -406,19 +407,12 @@ puddles::Status Pool::Run(Fn&& fn) {
                 "pool.Run callback must be invocable as Status(puddles::Tx&) — "
                 "return OkStatus() to commit, any error to roll back");
   ASSIGN_OR_RETURN(Transaction * raw, BeginTx());
-  if (raw->depth() > 1) {
-    // BeginTx flat-nested into an already-open transaction; pop the level we
-    // just pushed and refuse. (Commit at depth > 1 only decrements.)
-    (void)raw->Commit();
-    return FailedPreconditionError(
-        "pool.Run does not nest: a transaction is already open on this thread");
-  }
   Tx tx(this, raw);
   puddles::Status body = puddles::OkStatus();
   try {
     body = fn(tx);
   } catch (...) {
-    (void)raw->Abort();  // Abort-on-unwind, as with the legacy macros.
+    (void)raw->Abort();  // Abort on unwind.
     throw;
   }
   if (!body.ok()) {

@@ -415,11 +415,6 @@ puddles::Result<EpochPort*> Runtime::EpochPortForThisThread() {
   return state->port.get();
 }
 
-EpochPort* Runtime::ExistingEpochPortForThisThread() {
-  ThreadLog* state = FindThreadLogForThisThread();
-  return state == nullptr ? nullptr : state->port.get();
-}
-
 void Runtime::Sync() {
   EpochSys* sys;
   {

@@ -83,8 +83,7 @@ class Runtime {
   // ---- Transactions ----
   // The thread's cached transaction log (§4.1), created and registered on
   // first use. The returned target is owned by the runtime and stable for
-  // the thread's lifetime (the allocation-free fast path under pool.Run and
-  // the legacy TX_BEGIN shim alike).
+  // the thread's lifetime (the allocation-free fast path under pool.Run).
   puddles::Result<TxTarget*> ThreadTxTarget();
 
   // ---- Epoch-based group commit (docs/epoch.md) ----
@@ -94,9 +93,6 @@ class Runtime {
   // This thread's port into the epoch system, created on first use.
   // Fails unless EnsureEpochSys ran.
   puddles::Result<EpochPort*> EpochPortForThisThread();
-  // The port if this thread already created one, else nullptr (used by the
-  // immediate-mode Begin path to quiesce leftover epoch state).
-  EpochPort* ExistingEpochPortForThisThread();
   // Blocks until every epoch-mode transaction begun before this call is
   // persistently retired. No-op when the epoch system is not running.
   void Sync();

@@ -37,9 +37,9 @@ namespace stats {
 // (stats.cc has a static_assert on the name table length).
 enum class Counter : uint32_t {
   // Transactions (src/tx).
-  kTxBegin = 0,       // Outermost transactions begun.
-  kTxCommit,          // Outermost transactions committed.
-  kTxAbort,           // Outermost transactions aborted/rolled back.
+  kTxBegin = 0,       // Transactions begun.
+  kTxCommit,          // Transactions committed.
+  kTxAbort,           // Transactions aborted/rolled back.
   kUndoAppend,        // Undo log entries appended.
   kUndoElided,        // Undo captures skipped by coverage elision.
   kRedoAppend,        // Redo log entries appended.

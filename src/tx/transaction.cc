@@ -15,7 +15,7 @@ constinit thread_local Transaction* tls_transaction = nullptr;
 // Frees the thread's Transaction at thread exit. A separate owner object so
 // the fast-path pointer above stays a trivial (wrapper-free) thread_local; if
 // a later-destroyed TLS object begins a new transaction after this runs,
-// BeginWith simply re-allocates.
+// ThreadTransaction simply re-allocates.
 struct TransactionOwner {
   ~TransactionOwner() {
     delete tls_transaction;
@@ -25,6 +25,11 @@ struct TransactionOwner {
 thread_local TransactionOwner tls_transaction_owner;
 
 void (*g_stage_hook)(const char* stage) = nullptr;
+
+puddles::Status NestedBeginError() {
+  return FailedPreconditionError(
+      "transactions do not nest: a transaction is already open on this thread");
+}
 
 // True iff [addr, addr+size) lies entirely inside one recorded range.
 // Linear scan, like IntersectsFreedRange below: transactions log tens of
@@ -55,41 +60,35 @@ void Transaction::StageHook(const char* stage) {
   }
 }
 
-Transaction* Transaction::Current() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
-}
-
-namespace tx_internal {
-
-Transaction* ImplicitTransaction() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
-}
-
-}  // namespace tx_internal
-
 void Transaction::AbandonCurrentForTesting() {
   if (tls_transaction != nullptr) {
     tls_transaction->ResetState();
   }
 }
 
-puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
+Transaction* Transaction::ThreadTransaction() {
   if (tls_transaction == nullptr) {
     (void)tls_transaction_owner;  // Register the thread-exit deleter.
     tls_transaction = new Transaction();  // Thread-lifetime singleton.
   }
-  Transaction* tx = tls_transaction;
-  if (tx->depth_ > 0) {
-    // Flat nesting (PMDK semantics): the inner transaction joins the outer.
-    if (target != nullptr && target->log != nullptr && target->log != tx->target_->log) {
-      return FailedPreconditionError("nested transaction with a different log");
-    }
-    ++tx->depth_;
-    return tx;
+  return tls_transaction;
+}
+
+puddles::Result<Transaction*> Transaction::BeginWith(TxTarget* target, EpochPort* epoch) {
+  Transaction* tx = ThreadTransaction();
+  if (tx->active_) {
+    return NestedBeginError();
   }
   if (target == nullptr || target->log == nullptr) {
     return InvalidArgumentError("transaction needs a log");
   }
+  if (epoch == nullptr && target->epoch != nullptr) {
+    // Back to immediate mode on a thread that ran epoch transactions: the
+    // log may still hold un-retired epoch entries — wait them out and re-arm
+    // before an immediate transaction takes the log over.
+    RETURN_IF_ERROR(target->epoch->Quiesce(target->log));
+  }
+  target->epoch = epoch;
   auto [lo, hi] = target->log->seq_range();
   if (lo != 0 || hi != 2) {
     return FailedPreconditionError("transaction log not empty/armed");
@@ -116,22 +115,19 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
     tx->epoch_mode_ = false;
   }
   tx->target_ = target;
-  tx->depth_ = 1;
-  ++tx->epoch_;  // New outermost transaction: invalidate stale Tx handles.
+  tx->active_ = true;
+  ++tx->epoch_;  // New transaction: invalidate stale Tx handles.
   PUDDLES_COUNT(kTxBegin);
   return tx;
 }
 
 puddles::Result<Transaction*> Transaction::Begin(const TxTarget& target) {
-  if (tls_transaction != nullptr && tls_transaction->depth_ > 0) {
-    return BeginWith(&target);  // Nesting: target identity checked, not stored.
+  Transaction* tx = ThreadTransaction();
+  if (tx->active_) {
+    return NestedBeginError();  // Before owned_target_ is overwritten.
   }
-  if (tls_transaction == nullptr) {
-    (void)tls_transaction_owner;  // Register the thread-exit deleter.
-    tls_transaction = new Transaction();
-  }
-  tls_transaction->owned_target_ = target;
-  return BeginWith(&tls_transaction->owned_target_);
+  tx->owned_target_ = target;
+  return BeginWith(&tx->owned_target_, target.epoch);
 }
 
 const uint8_t* Transaction::EntryData(const EntryRef& ref) const {
@@ -281,18 +277,7 @@ bool Transaction::IntersectsFreedRange(const void* addr, size_t size) const {
   return false;
 }
 
-puddles::Status Transaction::Commit() {
-  if (!active()) {
-    return FailedPreconditionError("no active transaction");
-  }
-  if (depth_ > 1) {
-    --depth_;
-    return OkStatus();
-  }
-  return CommitOutermost();
-}
-
-// Post-commit hooks run only once the outermost commit has fully succeeded:
+// Post-commit hooks run only once the commit has fully succeeded:
 // they publish volatile effects (arena free-list pushes) that must not happen
 // while the transaction can still roll back. Captured at the success exits —
 // after the deferred frees have run, so hooks they register are included —
@@ -307,7 +292,10 @@ void Transaction::RunPostCommitHooks() {
   }
 }
 
-puddles::Status Transaction::CommitOutermost() {
+puddles::Status Transaction::Commit() {
+  if (!active()) {
+    return FailedPreconditionError("no active transaction");
+  }
   PUDDLES_TRACE_SPAN("tx_commit");
   PUDDLES_SCOPED_TIMER(kTxCommitTicks);
   PUDDLES_COUNT(kTxCommit);
@@ -573,7 +561,7 @@ void Transaction::ResetState() {
   on_abort_.clear();
   chain_.clear();
   target_ = nullptr;
-  depth_ = 0;
+  active_ = false;
   epoch_mode_ = false;
 }
 

@@ -26,7 +26,6 @@
 #include "src/libpuddles/libpuddles.h"
 #include "src/pmem/flush.h"
 #include "src/stats/stats.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {
@@ -238,6 +237,27 @@ TEST_F(EpochTest, DurabilitySwitchQuiesces) {
   ExpectRound(shard, 4, 2);
   Reopen();
   ExpectRound(Root(), 4, 2);
+}
+
+// Pools of one runtime share the thread's log target. A Run nested inside an
+// epoch-mode Run, on an immediate-mode pool, must be refused before it
+// switches that target back to immediate mode: the switch would quiesce the
+// very epoch the open transaction is in. The outer transaction commits.
+TEST_F(EpochTest, NestedRunLeavesSharedTargetAlone) {
+  Shard* shard = InitShard();
+  auto immediate = runtime_->CreatePool("immediate");
+  ASSERT_TRUE(immediate.ok()) << immediate.status().ToString();
+  ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch).ok());
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    RETURN_IF_ERROR(tx.LogRange(&shard->committed_rounds[0], sizeof(uint64_t)));
+    shard->committed_rounds[0] = 5;
+    puddles::Status inner = (*immediate)->Run([](Tx&) { return OkStatus(); });
+    EXPECT_EQ(inner.code(), StatusCode::kFailedPrecondition) << inner.ToString();
+    return OkStatus();
+  }).ok());
+  pool_->Sync();
+  Reopen();
+  EXPECT_EQ(Root()->committed_rounds[0], 5u);
 }
 
 // Aborts in epoch mode roll back in memory immediately and stay rolled back

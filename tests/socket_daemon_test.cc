@@ -402,12 +402,34 @@ TEST_F(SocketDaemonTest, ShutdownUnderLoad) {
 // but never admitted another client. The loop must log, back off, retry,
 // and serve the queued connection once descriptors free up.
 void ExerciseFdExhaustion(puddled::Server* server, const std::string& socket_path) {
+  auto open_fds = [] {
+    size_t count = 0;
+    for ([[maybe_unused]] const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+      ++count;
+    }
+    return count;
+  };
+  // One served round trip while descriptors are still free. Under UBSan the
+  // first dynamic-type check of each polymorphic type (here shared_ptr
+  // control blocks) makes the sanitizer runtime open a pipe to probe memory;
+  // with every descriptor hogged that fails and it reports a false "invalid
+  // vptr" on a valid object. The server closes its end of this connection
+  // asynchronously, so wait for the descriptor count to settle: a descriptor
+  // freed after the hogging below would let accept4() succeed.
+  const size_t used = open_fds();
+  {
+    auto warm = puddled::SocketDaemonClient::Connect(socket_path);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_TRUE((*warm)->Ping().ok());
+  }
+  const auto settle = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_fds() > used && std::chrono::steady_clock::now() < settle) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(open_fds(), used);
+
   rlimit old_limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old_limit), 0);
-  size_t used = 0;
-  for ([[maybe_unused]] const auto& entry : fs::directory_iterator("/proc/self/fd")) {
-    ++used;
-  }
   rlimit tight = old_limit;
   tight.rlim_cur = used + 16;
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
